@@ -12,7 +12,9 @@
 # --pipeline to run the block-pipeline differential smoke
 # (scripts/pipeline_smoke.py), and --swarm to run the 200-node
 # population-driven compact-relay differential smoke
-# (scripts/swarm_smoke.py). Run from
+# (scripts/swarm_smoke.py), and --perf to run the benchmark's own tests
+# (python3 -m pytest perfbench) plus one short traced swarm run, whose
+# span coverage check must report "correct": true. Run from
 # anywhere; paths resolve relative to the repo root.
 set -euo pipefail
 
@@ -24,6 +26,7 @@ run_profile=0
 run_service=0
 run_pipeline=0
 run_swarm=0
+run_perf=0
 for arg in "$@"; do
   case "$arg" in
     --bench) run_bench=1 ;;
@@ -34,7 +37,8 @@ for arg in "$@"; do
     --service) run_service=1 ;;
     --pipeline) run_pipeline=1 ;;
     --swarm) run_swarm=1 ;;
-    *) echo "usage: $0 [--bench] [--chaos] [--recovery] [--monitors] [--profile] [--service] [--pipeline] [--swarm]" >&2; exit 2 ;;
+    --perf) run_perf=1 ;;
+    *) echo "usage: $0 [--bench] [--chaos] [--recovery] [--monitors] [--profile] [--service] [--pipeline] [--swarm] [--perf]" >&2; exit 2 ;;
   esac
 done
 
@@ -82,6 +86,17 @@ fi
 if [ "$run_swarm" = 1 ]; then
   echo "== swarm: 200-node compact-relay differential smoke =="
   env -u REPRO_OBS python scripts/swarm_smoke.py
+fi
+
+if [ "$run_perf" = 1 ]; then
+  echo "== perf: perfbench tests and one short traced swarm run =="
+  env -u REPRO_OBS python3 -m pytest perfbench -q
+  result=$(env -u REPRO_OBS python3 perfbench/run.py --workload swarm --seed 1 --seconds 1 --trace 1 | tail -n 1)
+  echo "$result"
+  case "$result" in
+    '{"correct": true'*) ;;
+    *) echo "perf: the traced swarm run failed its checks" >&2; exit 1 ;;
+  esac
 fi
 
 if [ "$run_bench" = 1 ]; then

@@ -16,7 +16,7 @@ from repro import obs
 from repro.bitcoin.chain import Blockchain
 from repro.bitcoin.standard import ScriptType, classify, is_standard
 from repro.bitcoin.transaction import OutPoint, Transaction
-from repro.bitcoin.validation import ValidationError, check_tx_inputs
+from repro.bitcoin.validation import ValidationError, check_tx_inputs, is_final
 
 DEFAULT_MIN_FEE_RATE = 1  # satoshis per byte
 DUST_THRESHOLD = 546  # satoshis; outputs below this are not relayed
@@ -62,6 +62,9 @@ class Mempool:
         self.require_standard = require_standard
         self._entries: dict[bytes, MempoolEntry] = {}
         self._spent: dict[OutPoint, bytes] = {}  # outpoint -> spending txid
+        # Hash of the tip the pool was last left consistent with by
+        # revalidate(); None forces the next revalidate() to re-check all.
+        self._checked_tip: bytes | None = None
         chain.add_reorg_listener(self._on_reorg)
 
     def __len__(self) -> int:
@@ -129,8 +132,6 @@ class Mempool:
         if self.require_standard:
             self._check_standard(tx)
 
-        from repro.bitcoin.validation import is_final
-
         if not is_final(
             tx, self.chain.height + 1, self.chain.median_time_past()
         ):
@@ -172,6 +173,7 @@ class Mempool:
         dropped = len(self._entries)
         self._entries.clear()
         self._spent.clear()
+        self._checked_tip = None
         if obs.ENABLED:
             obs.gauge_set("mempool.size", 0)
         return dropped
@@ -204,6 +206,7 @@ class Mempool:
         set — conflicted or no-longer-mature spends simply stay out).
         Returns the number re-injected.
         """
+        self._checked_tip = None  # the next revalidate() re-checks all
         winning = {
             tx.txid for entry in connected for tx in entry.block.txs
         }
@@ -230,17 +233,70 @@ class Mempool:
         return reinjected
 
     def revalidate(self) -> list[Transaction]:
-        """Re-check every entry after a reorg; returns evicted transactions."""
-        evicted = []
-        for txid in list(self._entries):
-            entry = self._entries[txid]
-            try:
-                check_tx_inputs(entry.tx, self.chain.utxos, self.chain.height + 1)
-            except ValidationError:
-                self.remove(txid)
-                evicted.append(entry.tx)
+        """Evict every entry the current tip no longer admits.
+
+        Returns the evicted transactions in pool (insertion) order; the
+        survivors keep their order.  On a one-block extension of the tip
+        the pool was last left consistent with, the evictions are exactly
+        the entries spending an outpoint the new block spent, found
+        through ``_spent`` without re-validating anything:
+
+        - no entry spends an output the block created, because chained
+          unconfirmed spends are refused (:meth:`_accept`);
+        - coinbase maturity and height locks only loosen as height grows,
+          and median-time-past never decreases along a chain (each block's
+          timestamp must exceed it), so time locks only loosen too;
+        - sighash and script verdicts do not depend on chain state.
+
+        Every other case — the first call, after :meth:`clear`, a reorg
+        (:meth:`_on_reorg` forgets the tip), an unchanged tip (the UTXO set
+        may have been edited directly) or a gap of several blocks — re-runs
+        full input validation and the finality check :meth:`_accept` applies
+        on every entry.
+        """
+        tip = self.chain.tip
+        if self._checked_tip is not None and tip.prev == self._checked_tip:
+            # No finality check here: height grew by one and median-time-
+            # past never decreases along a chain, so final entries stay so.
+            evicted = self._evict_conflicts(tip.block)
+        else:
+            evicted = self._recheck_all()
+        self._checked_tip = tip.block.hash
         if obs.ENABLED:
             if evicted:
                 obs.inc("mempool.evicted_total", len(evicted))
             obs.gauge_set("mempool.size", len(self._entries))
+        return evicted
+
+    def _evict_conflicts(self, block) -> list[Transaction]:
+        """Evict the entries spending an outpoint ``block`` spent."""
+        doomed = {
+            self._spent[txin.prevout]
+            for tx in block.txs[1:]
+            for txin in tx.vin
+            if txin.prevout in self._spent
+        }
+        if not doomed:
+            return []
+        evicted = [
+            entry.tx for txid, entry in self._entries.items() if txid in doomed
+        ]
+        for tx in evicted:
+            self.remove(tx.txid)
+        return evicted
+
+    def _recheck_all(self) -> list[Transaction]:
+        """Re-validate every entry against the tip; evict the failures."""
+        height = self.chain.height + 1
+        mtp = self.chain.median_time_past()
+        evicted = []
+        for txid in list(self._entries):
+            entry = self._entries[txid]
+            try:
+                if not is_final(entry.tx, height, mtp):
+                    raise ValidationError("transaction is not final")
+                check_tx_inputs(entry.tx, self.chain.utxos, height)
+            except ValidationError:
+                self.remove(txid)
+                evicted.append(entry.tx)
         return evicted

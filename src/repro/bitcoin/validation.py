@@ -95,6 +95,55 @@ def check_transaction(tx: Transaction) -> None:
 _DEFAULT_SIG_CACHE = object()
 
 
+def _resolve_sig_cache(sig_cache):
+    return sigcache.default_cache() if sig_cache is _DEFAULT_SIG_CACHE else sig_cache
+
+
+def _cached_checker(digest_of, cache, on_miss):
+    """The prologue both signature checkers share, in one fixed order.
+
+    ``signature || hashtype_byte`` is split and DER-decoded, then
+    ``digest_of(hash_type)`` computes the sighash, then the signature
+    cache is consulted.  Only on a miss is the pubkey decoded (a modular
+    square root for compressed keys) and the triple handed to
+    ``on_miss(pubkey, digest, signature, pubkey_bytes, sig_bytes)``.  So a
+    DER failure or a sighash error still surfaces first, and a warm cache
+    hit costs no point arithmetic at all.
+
+    Skipping the decode on a hit relies on one invariant: a cache entry is
+    only ever written after its pubkey decoded (``make_sig_checker`` puts a
+    verdict computed from the decoded point; the batch path warms only
+    triples whose pubkeys decoded before they were deferred).  A hit
+    therefore implies the pubkey bytes decode, and an undecodable pubkey
+    always misses and answers ``False`` here.
+    """
+
+    def checker(sig_with_type: bytes, pubkey_bytes: bytes) -> bool:
+        if len(sig_with_type) < 2:
+            return False
+        hash_type = sig_with_type[-1]
+        sig_bytes = sig_with_type[:-1]
+        try:
+            signature = Signature.decode(sig_bytes)
+        except ValueError:
+            return False
+        try:
+            digest = digest_of(hash_type)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
+        if cache is not None:
+            cached = cache.get(digest, pubkey_bytes, sig_bytes)
+            if cached is not None:
+                return cached
+        try:
+            pubkey = Point.decode(pubkey_bytes)
+        except ValueError:
+            return False
+        return on_miss(pubkey, digest, signature, pubkey_bytes, sig_bytes)
+
+    return checker
+
+
 def make_sig_checker(
     tx: Transaction,
     input_index: int,
@@ -109,43 +158,25 @@ def make_sig_checker(
     *spending* transaction, and verifies with ECDSA.
 
     ``sighash_cache`` (built per transaction) reuses serialization midstates
-    across this transaction's inputs; ``sig_cache`` skips ECDSA entirely for
-    `(digest, pubkey, sig)` triples already verified — by default the shared
-    :func:`repro.bitcoin.sigcache.default_cache`, pass ``None`` to disable.
+    across this transaction's inputs; ``sig_cache`` skips the pubkey decode
+    and ECDSA entirely for `(digest, pubkey, sig)` triples already verified
+    — by default the shared :func:`repro.bitcoin.sigcache.default_cache`,
+    pass ``None`` to disable.
     """
+    def digest_of(hash_type: int) -> bytes:
+        if sighash_cache is not None:
+            return sighash_cache.digest(input_index, script_code, hash_type)
+        return signature_hash(tx, input_index, script_code, hash_type)
 
-    def checker(sig_with_type: bytes, pubkey_bytes: bytes) -> bool:
-        if len(sig_with_type) < 2:
-            return False
-        hash_type = sig_with_type[-1]
-        sig_bytes = sig_with_type[:-1]
-        try:
-            signature = Signature.decode(sig_bytes)
-            pubkey = Point.decode(pubkey_bytes)
-        except ValueError:
-            return False
-        try:
-            if sighash_cache is not None:
-                digest = sighash_cache.digest(input_index, script_code, hash_type)
-            else:
-                digest = signature_hash(tx, input_index, script_code, hash_type)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        cache = (
-            sigcache.default_cache()
-            if sig_cache is _DEFAULT_SIG_CACHE
-            else sig_cache
-        )
-        if cache is not None:
-            cached = cache.get(digest, pubkey_bytes, sig_bytes)
-            if cached is not None:
-                return cached
+    cache = _resolve_sig_cache(sig_cache)
+
+    def verify(pubkey, digest, signature, pubkey_bytes, sig_bytes) -> bool:
         verdict = ecdsa_verify(pubkey, digest, signature)
         if cache is not None:
             cache.put(digest, pubkey_bytes, sig_bytes, verdict)
         return verdict
 
-    return checker
+    return _cached_checker(digest_of, cache, verify)
 
 
 def check_tx_inputs(
@@ -352,37 +383,24 @@ def _make_collecting_checker(
 ):
     """A sig checker that defers the ECDSA verify into a batch.
 
-    Structural checks (DER/point decoding) and the sighash run eagerly —
-    their failures are deterministic and cheap.  The signature cache is
-    consulted first; only misses join ``pending`` as
+    It shares :func:`_cached_checker`'s prologue: DER decoding and the
+    sighash run eagerly (their failures are deterministic and cheap), the
+    signature cache answers hits, and only misses decode the pubkey.  A
+    miss whose pubkey decodes joins ``pending`` as
     ``(pubkey, digest, signature, pubkey_bytes, sig_bytes)``, and the
     checker answers **True optimistically** — the batch equation is the
     authority, and any batch failure triggers the authoritative serial
     re-run in :func:`verify_scripts_batched`.
     """
 
-    def checker(sig_with_type: bytes, pubkey_bytes: bytes) -> bool:
-        if len(sig_with_type) < 2:
-            return False
-        hash_type = sig_with_type[-1]
-        sig_bytes = sig_with_type[:-1]
-        try:
-            signature = Signature.decode(sig_bytes)
-            pubkey = Point.decode(pubkey_bytes)
-        except ValueError:
-            return False
-        try:
-            digest = sighash_cache.digest(input_index, script_code, hash_type)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        if cache is not None:
-            cached = cache.get(digest, pubkey_bytes, sig_bytes)
-            if cached is not None:
-                return cached
+    def digest_of(hash_type: int) -> bytes:
+        return sighash_cache.digest(input_index, script_code, hash_type)
+
+    def defer(pubkey, digest, signature, pubkey_bytes, sig_bytes) -> bool:
         pending.append((pubkey, digest, signature, pubkey_bytes, sig_bytes))
         return True  # optimistic: the batch verdict below is the authority
 
-    return checker
+    return _cached_checker(digest_of, cache, defer)
 
 
 def verify_scripts_batched(
@@ -408,11 +426,7 @@ def verify_scripts_batched(
     if not jobs:
         return
     groups = ParallelScriptVerifier._grouped(jobs)
-    cache = (
-        sigcache.default_cache()
-        if sig_cache is _DEFAULT_SIG_CACHE
-        else sig_cache
-    )
+    cache = _resolve_sig_cache(sig_cache)
     pending: list[tuple[Point, bytes, Signature, bytes, bytes]] = []
     optimistic_ok = True
     try:

@@ -119,3 +119,43 @@ class TestEnforcement:
         net.send(refund)
         net.confirm(1)
         assert net.confirmations(refund.txid) == 1
+
+
+class TestReorgFinality:
+    def test_reorg_to_earlier_median_time_evicts_time_locked(self):
+        """A time lock that was final on the old branch can be non-final on
+        a heavier branch whose median-time-past is earlier.  Revalidation
+        after the reorg must evict it, or the next template carries a
+        transaction the node's own chain rejects."""
+        from repro.bitcoin.block import build_block
+        from repro.bitcoin.miner import Miner
+
+        net = RegtestNetwork(block_time_step=600)
+        alice = Wallet.from_seed(b"lt-alice")
+        net.fund_wallet(alice)
+        mtp = net.chain.median_time_past()
+        tx = locked_tx(net, alice, locktime=mtp - 1)
+        assert tx.locktime >= LOCKTIME_THRESHOLD
+        net.send(tx)
+
+        # A rival branch forked six blocks back, its blocks one second apart.
+        fork = net.chain.height - 6
+        prev = net.chain.block_at(fork).hash
+        miner = Miner(net.chain, Wallet.from_seed(b"lt-rival").key_hash)
+        for i in range(7):
+            coinbase = miner.make_coinbase(fork + 1 + i, 0, extra_nonce=9000 + i)
+            block = miner.grind(build_block(
+                prev,
+                [coinbase],
+                timestamp=net.chain.median_time_past(prev) + 1,
+                bits=net.chain.required_bits(prev),
+            ))
+            net.chain.add_block(block)
+            prev = block.hash
+        assert net.chain.tip.block.hash == prev
+        assert net.chain.median_time_past() <= tx.locktime
+        assert tx.txid in net.mempool  # the reorg itself leaves it pooled
+
+        assert [t.txid for t in net.mempool.revalidate()] == [tx.txid]
+        block = net.confirm(1)[0]  # the template is one the chain accepts
+        assert tx.txid not in [t.txid for t in block.txs]

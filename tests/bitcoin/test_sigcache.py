@@ -15,16 +15,20 @@ from repro.bitcoin import sigcache
 from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.sigcache import SignatureCache
 from repro.bitcoin.standard import p2pkh_script
+from repro.bitcoin.sighash import SighashCache
 from repro.bitcoin.transaction import Script, Transaction, TxOut
 from repro.bitcoin.validation import (
     ParallelScriptVerifier,
     ValidationError,
+    _make_collecting_checker,
     check_tx_inputs,
     make_sig_checker,
+    verify_scripts_batched,
 )
 from repro.bitcoin.wallet import Wallet
 from repro.crypto.ecdsa import Signature, verify as ecdsa_verify
 from repro.crypto.keys import PrivateKey
+from repro.crypto.secp256k1 import FIELD_PRIME, Point
 
 
 @pytest.fixture(autouse=True)
@@ -312,3 +316,134 @@ def test_worker_death_mid_block_falls_back_serially():
     assert _run_scenario(
         verifier=ParallelScriptVerifier(workers=2), cache=SignatureCache()
     ) == baseline
+
+
+# ----------------------------------------------------------------------
+# Deferred pubkey decode: hits skip it, misses still fail closed
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Record every ``Point.decode`` call made while the test runs."""
+    calls = []
+    original = Point.decode
+
+    def counting(data):
+        calls.append(data)
+        return original(data)
+
+    monkeypatch.setattr(Point, "decode", staticmethod(counting))
+    return calls
+
+
+def _off_curve_x() -> int:
+    """The smallest x with no point on secp256k1 (x³ + 7 a non-residue)."""
+    x = 1
+    while pow(x**3 + 7, (FIELD_PRIME - 1) // 2, FIELD_PRIME) == 1:
+        x += 1
+    return x
+
+
+UNDECODABLE_PUBKEYS = {
+    "off-curve compressed": b"\x02" + _off_curve_x().to_bytes(32, "big"),
+    "x out of range": b"\x03" + (FIELD_PRIME + 1).to_bytes(32, "big"),
+    "off-curve uncompressed": b"\x04" + (1).to_bytes(32, "big") * 2,
+    "bad prefix": b"\x05" + b"\x11" * 32,
+    "truncated": b"\x02" + b"\x11" * 31,
+}
+
+
+def _spend_jobs(net, tx):
+    return [
+        (tx, index, net.chain.utxos.get(txin.prevout).output.script_pubkey)
+        for index, txin in enumerate(tx.vin)
+    ]
+
+
+def test_cache_hit_skips_pubkey_decode(decode_calls):
+    net, alice, bob = _funded_net()
+    tx = alice.create_transaction(
+        net.chain, [TxOut(1000, p2pkh_script(bob.key_hash))], fee=2000
+    )
+    check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1)
+    assert len(decode_calls) == len(tx.vin)  # cold: one decode per miss
+    decode_calls.clear()
+    check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1)
+    assert decode_calls == []
+    # The batch path shares the prologue: a warm block decodes nothing.
+    verify_scripts_batched(_spend_jobs(net, tx))
+    assert decode_calls == []
+
+
+def test_batch_path_decodes_only_misses(decode_calls):
+    net, alice, bob = _funded_net()
+    tx = alice.create_transaction(
+        net.chain, [TxOut(1000, p2pkh_script(bob.key_hash))], fee=2000
+    )
+    verify_scripts_batched(_spend_jobs(net, tx))
+    assert len(decode_calls) == len(tx.vin)
+    # A fully green batch warmed the cache for the serial path.
+    decode_calls.clear()
+    check_tx_inputs(tx, net.chain.utxos, net.chain.height + 1)
+    assert decode_calls == []
+
+
+@pytest.mark.parametrize("label", sorted(UNDECODABLE_PUBKEYS))
+def test_undecodable_pubkey_miss_returns_false(label, decode_calls):
+    pubkey = UNDECODABLE_PUBKEYS[label]
+    net, alice, bob = _funded_net()
+    tx = alice.create_transaction(
+        net.chain, [TxOut(1000, p2pkh_script(bob.key_hash))], fee=2000
+    )
+    sig = PrivateKey.from_seed(b"any").sign_digest(b"\x01" * 32).encode()
+    cache = SignatureCache()
+    checker = make_sig_checker(tx, 0, Script(), sig_cache=cache)
+    assert checker(sig + b"\x01", pubkey) is False
+    assert decode_calls == [pubkey]
+    assert len(cache) == 0  # nothing is recorded for an undecodable key
+    pending = []
+    collecting = _make_collecting_checker(
+        0, Script(), SighashCache(tx), cache, pending
+    )
+    assert collecting(sig + b"\x01", pubkey) is False
+    assert pending == []
+
+
+def test_der_failure_surfaces_before_decode(decode_calls):
+    net, alice, bob = _funded_net()
+    tx = alice.create_transaction(
+        net.chain, [TxOut(1000, p2pkh_script(bob.key_hash))], fee=2000
+    )
+    cache = SignatureCache()
+    lookups = []
+    cache.get = lambda *key: lookups.append(key)
+    bad_der = b"\x30\x02\x01\x01\x01"  # not a DER signature, plus hashtype
+    for checker in (
+        make_sig_checker(tx, 0, Script(), sig_cache=cache),
+        _make_collecting_checker(0, Script(), SighashCache(tx), cache, []),
+    ):
+        assert checker(bad_der, b"\x05" + b"\x11" * 32) is False
+        assert checker(b"\x01", b"\x05" + b"\x11" * 32) is False  # too short
+    assert decode_calls == []
+    assert lookups == []
+
+
+def test_sighash_failure_surfaces_before_decode(decode_calls):
+    """An out-of-range input index raises even when the pubkey is junk:
+    the sighash runs before the pubkey is ever looked at."""
+    net, alice, bob = _funded_net()
+    tx = alice.create_transaction(
+        net.chain, [TxOut(1000, p2pkh_script(bob.key_hash))], fee=2000
+    )
+    sig = PrivateKey.from_seed(b"any").sign_digest(b"\x01" * 32).encode()
+    out_of_range = len(tx.vin) + 3
+    for checker in (
+        make_sig_checker(tx, out_of_range, Script()),
+        _make_collecting_checker(
+            out_of_range, Script(), SighashCache(tx), None, []
+        ),
+    ):
+        with pytest.raises(ValidationError, match="out of range"):
+            checker(sig + b"\x01", b"\x05" + b"\x11" * 32)
+    assert decode_calls == []
