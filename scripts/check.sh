@@ -13,8 +13,9 @@
 # (scripts/pipeline_smoke.py), and --swarm to run the 200-node
 # population-driven compact-relay differential smoke
 # (scripts/swarm_smoke.py), and --perf to run the benchmark's own tests
-# (python3 -m pytest perfbench) plus one short traced swarm run, whose
-# span coverage check must report "correct": true. Run from
+# (python3 -m pytest perfbench) plus one short traced swarm run and one
+# short traced cold-sync run, whose span coverage and bypass checks must
+# each report "correct": true. Run from
 # anywhere; paths resolve relative to the repo root.
 set -euo pipefail
 
@@ -89,14 +90,18 @@ if [ "$run_swarm" = 1 ]; then
 fi
 
 if [ "$run_perf" = 1 ]; then
-  echo "== perf: perfbench tests and one short traced swarm run =="
+  echo "== perf: perfbench tests and short traced swarm and cold-sync runs =="
   env -u REPRO_OBS python3 -m pytest perfbench -q
-  result=$(env -u REPRO_OBS python3 perfbench/run.py --workload swarm --seed 1 --seconds 1 --trace 1 | tail -n 1)
-  echo "$result"
-  case "$result" in
-    '{"correct": true'*) ;;
-    *) echo "perf: the traced swarm run failed its checks" >&2; exit 1 ;;
-  esac
+  # cold-sync's bypass predictions (no sigcache hits, no pooled txs) show
+  # that nothing warmed at admission can shortcut a syncing node.
+  for workload in swarm cold-sync; do
+    result=$(env -u REPRO_OBS python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    echo "$result"
+    case "$result" in
+      '{"correct": true'*) ;;
+      *) echo "perf: the traced $workload run failed its checks" >&2; exit 1 ;;
+    esac
+  done
 fi
 
 if [ "$run_bench" = 1 ]; then

@@ -10,6 +10,7 @@ branch appears — which is exactly the attack surface experiment E1 measures.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -39,6 +40,9 @@ from repro.bitcoin.validation import (
 HALVING_INTERVAL = 210_000
 INITIAL_SUBSIDY = 50 * COIN
 MEDIAN_TIME_SPAN = 11
+#: Most admitted transactions one chain remembers as script-verified
+#: (see :meth:`Blockchain.remember_verified_scripts`); the oldest go first.
+SCRIPT_MEMO_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -83,12 +87,19 @@ def make_genesis(params: ChainParams) -> Block:
 
 @dataclass
 class BlockIndexEntry:
-    """Metadata for one block in the tree."""
+    """Metadata for one block in the tree.
+
+    ``median_time`` is the median of this block's timestamp and its ten
+    ancestors' (the consensus clock the next block must beat).  The
+    block's hash fixes its ancestors, so it is computed once, when the
+    entry is made.
+    """
 
     block: Block
     height: int
     chain_work: int
     prev: bytes | None
+    median_time: int
     invalid: bool = False
 
 
@@ -131,6 +142,7 @@ class Blockchain:
                 height=0,
                 chain_work=block_work(self.genesis.header.bits),
                 prev=None,
+                median_time=self.genesis.header.timestamp,
             )
         }
         self._active: list[bytes] = [genesis_hash]
@@ -148,6 +160,12 @@ class Blockchain:
         # successful reorg, with lists of BlockIndexEntry: the losing
         # branch tip-first, the winning branch in height order.
         self._reorg_listeners: list = []
+        # txid -> the scriptPubKeys its inputs spent when this node last
+        # ran every one of its scripts (see remember_verified_scripts).
+        # In memory only, per chain, at most SCRIPT_MEMO_MAX entries.
+        self._verified_scripts: OrderedDict[bytes, tuple[Script, ...]] = (
+            OrderedDict()
+        )
         self._connect(self._index[genesis_hash])
 
     # ------------------------------------------------------------------
@@ -232,17 +250,8 @@ class Blockchain:
             popped = self._active.pop()
             assert popped == record.block_hash, "log/active-chain divergence"
             return
-        block = record.block
-        entry = self._index.get(record.block_hash)
-        if entry is None:
-            prev = self._index[block.header.prev_hash]
-            entry = BlockIndexEntry(
-                block=block,
-                height=prev.height + 1,
-                chain_work=prev.chain_work + block_work(block.header.bits),
-                prev=block.header.prev_hash,
-            )
-            self._index[record.block_hash] = entry
+        if record.block_hash not in self._index:
+            self._add_entry(record.block)
         self._active.append(record.block_hash)
 
     def _install_snapshot(self, snapshot, undo_by_hash: dict) -> None:
@@ -287,14 +296,7 @@ class Blockchain:
         block = record.block
         entry = self._index.get(record.block_hash)
         if entry is None:
-            prev = self._index[block.header.prev_hash]
-            entry = BlockIndexEntry(
-                block=block,
-                height=prev.height + 1,
-                chain_work=prev.chain_work + block_work(block.header.bits),
-                prev=block.header.prev_hash,
-            )
-            self._index[record.block_hash] = entry
+            entry = self._add_entry(block)
         undo = self.utxos.apply_block_txs(list(block.txs), entry.height)
         state = _ConnectedState(undo=undo)
         for tx in block.txs:
@@ -370,13 +372,52 @@ class Blockchain:
     def median_time_past(self, block_hash: bytes | None = None) -> int:
         """Median of the last 11 block timestamps (the consensus clock)."""
         entry = self._index[block_hash] if block_hash else self.tip
-        times: list[int] = []
-        current: BlockIndexEntry | None = entry
-        while current is not None and len(times) < MEDIAN_TIME_SPAN:
-            times.append(current.block.header.timestamp)
-            current = self._index.get(current.prev) if current.prev else None
+        return entry.median_time
+
+    def _add_entry(self, block: Block) -> BlockIndexEntry:
+        """Index ``block`` under its (already indexed) parent."""
+        prev = self._index[block.header.prev_hash]
+        times = [block.header.timestamp]
+        cursor: BlockIndexEntry | None = prev
+        while cursor is not None and len(times) < MEDIAN_TIME_SPAN:
+            times.append(cursor.block.header.timestamp)
+            cursor = self._index.get(cursor.prev) if cursor.prev else None
         times.sort()
-        return times[len(times) // 2]
+        entry = BlockIndexEntry(
+            block=block,
+            height=prev.height + 1,
+            chain_work=prev.chain_work + block_work(block.header.bits),
+            prev=block.header.prev_hash,
+            median_time=times[len(times) // 2],
+        )
+        self._index[block.hash] = entry
+        return entry
+
+    def remember_verified_scripts(
+        self, txid: bytes, spent_scripts: tuple[Script, ...]
+    ) -> None:
+        """Record that every input script of ``txid`` passed, spending
+        ``spent_scripts`` (one scriptPubKey per input, in input order).
+
+        When a block later confirms ``txid``, :meth:`_connect_inner` skips
+        its script checks if the scriptPubKeys it spends there are equal to
+        these.  That is sound because a script verdict is a function of
+        the spending transaction (which the txid fixes, scriptSigs
+        included) and the spent scriptPubKeys alone: ``execute_script``
+        reads no flags, height or time, and signature-cache hits cannot
+        change a verdict.  Bitcoin Core's script-execution cache rests on
+        the same fact.  If script flags are ever added, they must become
+        part of the memo key.
+
+        The memo belongs to this chain only, lives in memory only, and
+        holds at most :data:`SCRIPT_MEMO_MAX` entries (the oldest is
+        dropped first).  Callers record only transactions whose every
+        input script just passed against this chain's UTXO set.
+        """
+        memo = self._verified_scripts
+        memo[txid] = spent_scripts
+        if len(memo) > SCRIPT_MEMO_MAX:
+            memo.popitem(last=False)
 
     def required_bits(self, prev_hash: bytes) -> int:
         """The compact target the block after ``prev_hash`` must meet."""
@@ -475,13 +516,7 @@ class Blockchain:
         if block.header.timestamp <= self.median_time_past(block.header.prev_hash):
             raise ValidationError("timestamp not after median time past")
 
-        entry = BlockIndexEntry(
-            block=block,
-            height=prev.height + 1,
-            chain_work=prev.chain_work + block_work(block.header.bits),
-            prev=block.header.prev_hash,
-        )
-        self._index[block_hash] = entry
+        entry = self._add_entry(block)
 
         if entry.chain_work > self.tip.chain_work:
             self._reorganize_to(entry)
@@ -583,6 +618,7 @@ class Blockchain:
 
             fees = 0
             script_jobs: list[ScriptJob] = []
+            verified = self._verified_scripts
             for tx in block.txs[1:]:
                 if not is_final(tx, height, block.header.timestamp):
                     raise ValidationError("non-final transaction in block")
@@ -593,12 +629,12 @@ class Blockchain:
                     tx, self.utxos, height, verify_scripts=False
                 )
                 fees += result.fee
-                for index, txin in enumerate(tx.vin):
-                    utxo_entry = self.utxos.get(txin.prevout)
-                    assert utxo_entry is not None  # check_tx_inputs passed
-                    script_jobs.append(
-                        (tx, index, utxo_entry.output.script_pubkey)
-                    )
+                if verified.pop(tx.txid, None) == result.spent_scripts:
+                    continue  # ran these exact scripts at admission
+                script_jobs.extend(
+                    (tx, index, script_pubkey)
+                    for index, script_pubkey in enumerate(result.spent_scripts)
+                )
             if self.batch_sig_verify and self.script_verifier.workers == 1:
                 verify_scripts_batched(script_jobs)
             else:

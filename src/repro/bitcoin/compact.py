@@ -43,7 +43,9 @@ __all__ = [
     "reconstruct",
     "short_id_key",
     "short_txid",
+    "short_txids",
     "siphash24",
+    "siphash24_batch",
 ]
 
 SHORT_ID_BYTES = 6
@@ -60,8 +62,9 @@ def siphash24(key: bytes, data: bytes) -> int:
     """SipHash-2-4 of ``data`` under a 16-byte ``key`` (64-bit result).
 
     Pure-python transcription of the reference algorithm (Aumasson &
-    Bernstein); the compression rounds are inlined because this runs once
-    per mempool transaction per compact block received.
+    Bernstein).  Short ids of a whole announcement go through
+    :func:`short_txids`, whose packed kernel must match this function
+    bit for bit; this one serves single txids and odd lengths.
     """
     if len(key) != 16:
         raise ValueError("siphash key must be 16 bytes")
@@ -134,6 +137,124 @@ def short_txid(key: bytes, txid: bytes) -> bytes:
     )
 
 
+# -- batched SipHash: one packed pass per announcement -------------------
+#
+# Every short id of an announcement is SipHash-2-4 of a 32-byte txid under
+# the same key, so the lanes run in lockstep.  The kernel packs them SWAR
+# style (SIMD within a register): lane i of a state word v0..v3 is bits
+# [72i, 72i + 64) of one Python int, and each SipRound operation runs on
+# every lane at once.  The 8 spare bits per slot hold the carry of a lane-
+# wise add until the mask clears it, so no lane ever leaks into the next;
+# a rotation shifts the whole int both ways and keeps, per lane, only the
+# bits that came from that lane.  Interpreter overhead is then paid once
+# per batch rather than once per txid.
+
+_SLOT = 72  # bits per lane: 64 value bits + 8 bits of carry headroom
+#: Lanes per packed pass.  Longer batches run in chunks of this size, so
+#: the masks below are built once, at import, and never grow.  (An AND
+#: with a wider mask costs only the narrower operand's length.)
+_LANES = 256
+#: Below this many txids the scalar function is the faster one.
+_BATCH_MIN = 2
+
+_ONES = sum(1 << (_SLOT * i) for i in range(_LANES))  # 1 in every lane
+_LANE64 = _MASK64 * _ONES
+#: Per rotation distance r: (lane bits [r, 64), lane bits [0, r)).
+_ROTL_MASKS = {
+    r: (((_MASK64 >> r) << r) * _ONES, ((1 << r) - 1) * _ONES)
+    for r in (13, 16, 17, 21, 32)
+}
+#: SipHash's final message word for a 32-byte input: the length byte.
+_LEN32_WORD = (32 << 56) * _ONES
+
+
+def _siphash24_lanes(k0: int, k1: int, data: bytes, n: int) -> int:
+    """SipHash-2-4 of ``n`` 32-byte messages, concatenated in ``data``,
+    as one packed int (lane i holds message i's hash)."""
+    live = (1 << (_SLOT * n)) - 1
+    ones = _ONES & live
+    # Message word j of every lane: byte k of each lane's word comes from
+    # byte 8j + k of its message; the ninth byte of each slot stays zero.
+    slots = bytearray(9 * n)
+    words = []
+    for offset in range(0, 32, 8):
+        for k in range(8):
+            slots[k::9] = data[offset + k :: 32]
+        words.append(int.from_bytes(slots, "little"))
+    words.append(_LEN32_WORD & live)
+    m64 = _LANE64
+    h13, l13 = _ROTL_MASKS[13]
+    h16, l16 = _ROTL_MASKS[16]
+    h17, l17 = _ROTL_MASKS[17]
+    h21, l21 = _ROTL_MASKS[21]
+    h32, l32 = _ROTL_MASKS[32]
+    v0 = (k0 ^ 0x736F6D6570736575) * ones
+    v1 = (k1 ^ 0x646F72616E646F6D) * ones
+    v2 = (k0 ^ 0x6C7967656E657261) * ones
+    v3 = (k1 ^ 0x7465646279746573) * ones
+    # Compression (two SipRounds per message word, the length word last),
+    # then finalization (four SipRounds), every round on every lane.
+    for m in words + [None]:
+        if m is None:
+            v2 ^= 0xFF * ones
+        else:
+            v3 ^= m
+        for _ in range(2 if m is not None else 4):
+            v0 = (v0 + v1) & m64
+            v1 = ((v1 << 13) & h13) | ((v1 >> 51) & l13)
+            v1 ^= v0
+            v0 = ((v0 << 32) & h32) | ((v0 >> 32) & l32)
+            v2 = (v2 + v3) & m64
+            v3 = ((v3 << 16) & h16) | ((v3 >> 48) & l16)
+            v3 ^= v2
+            v0 = (v0 + v3) & m64
+            v3 = ((v3 << 21) & h21) | ((v3 >> 43) & l21)
+            v3 ^= v0
+            v2 = (v2 + v1) & m64
+            v1 = ((v1 << 17) & h17) | ((v1 >> 47) & l17)
+            v1 ^= v2
+            v2 = ((v2 << 32) & h32) | ((v2 >> 32) & l32)
+        if m is not None:
+            v0 ^= m
+    return v0 ^ v1 ^ v2 ^ v3
+
+
+def siphash24_batch(key: bytes, txids: list[bytes]) -> list[int]:
+    """``[siphash24(key, t) for t in txids]``, computed in packed passes.
+
+    Too few txids to pay for the packing, or any txid that is not 32
+    bytes long, go through the scalar function instead.
+    """
+    if len(key) != 16:
+        raise ValueError("siphash key must be 16 bytes")
+    n = len(txids)
+    if n < _BATCH_MIN or set(map(len, txids)) != {32}:
+        return [siphash24(key, txid) for txid in txids]
+    k0 = int.from_bytes(key[:8], "little")
+    k1 = int.from_bytes(key[8:], "little")
+    data = b"".join(txids)
+    hashes = []
+    for start in range(0, n, _LANES):
+        lanes = min(_LANES, n - start)
+        packed = _siphash24_lanes(
+            k0, k1, data[32 * start : 32 * (start + lanes)], lanes
+        ).to_bytes(9 * lanes, "little")
+        hashes.extend(
+            int.from_bytes(packed[i : i + 8], "little")
+            for i in range(0, 9 * lanes, 9)
+        )
+    return hashes
+
+
+def short_txids(key: bytes, txids: list[bytes]) -> list[bytes]:
+    """``[short_txid(key, t) for t in txids]``: every short id of one
+    announcement from one batched SipHash pass."""
+    return [
+        (h & 0xFFFFFFFFFFFF).to_bytes(SHORT_ID_BYTES, "little")
+        for h in siphash24_batch(key, txids)
+    ]
+
+
 @dataclass(frozen=True)
 class PrefilledTransaction:
     """A transaction shipped in full inside the announcement.
@@ -187,7 +308,7 @@ class CompactBlock:
             header=block.header,
             nonce=nonce,
             short_ids=tuple(
-                short_txid(key, tx.txid) for tx in block.txs[1:]
+                short_txids(key, [tx.txid for tx in block.txs[1:]])
             ),
             prefilled=(PrefilledTransaction(0, block.txs[0]),),
         )
@@ -249,15 +370,16 @@ def reconstruct(compact: CompactBlock, mempool) -> ReconstructionResult:
     # Short id -> mempool tx; ambiguous ids collapse to None.
     by_sid: dict[bytes, Transaction | None] = {}
     collisions = 0
-    for entry in mempool.transactions():
-        sid = short_txid(key, entry.tx.txid)
+    pooled = [entry.tx for entry in mempool.transactions()]
+    sids = short_txids(key, [tx.txid for tx in pooled])
+    for tx, sid in zip(pooled, sids):
         held = by_sid.get(sid)
         if sid in by_sid:
-            if held is not None and held.txid != entry.tx.txid:
+            if held is not None and held.txid != tx.txid:
                 by_sid[sid] = None
                 collisions += 1
         else:
-            by_sid[sid] = entry.tx
+            by_sid[sid] = tx
     missing: list[int] = []
     sid_iter = iter(compact.short_ids)
     for slot in range(total):

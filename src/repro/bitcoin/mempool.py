@@ -137,9 +137,11 @@ class Mempool:
         ):
             raise MempoolError("transaction is not final (locktime)")
 
-        # Full input validation also warms the process-wide signature cache
-        # (repro.bitcoin.sigcache): when a block containing this transaction
-        # is connected later, its ECDSA checks are cache hits.
+        # Full input validation runs every input script and warms the
+        # process-wide signature cache (repro.bitcoin.sigcache).  Once the
+        # transaction is admitted, the chain also remembers that its scripts
+        # passed (Blockchain.remember_verified_scripts), so connecting a
+        # block that confirms it skips them.
         try:
             validity = check_tx_inputs(tx, self.chain.utxos, self.chain.height + 1)
         except ValidationError as exc:
@@ -155,6 +157,7 @@ class Mempool:
         self._entries[txid] = entry
         for txin in tx.vin:
             self._spent[txin.prevout] = txid
+        self.chain.remember_verified_scripts(txid, validity.spent_scripts)
         return entry
 
     def _check_standard(self, tx: Transaction) -> None:

@@ -59,9 +59,11 @@ def is_final(tx: Transaction, height: int, block_time: int) -> bool:
 
 @dataclass(frozen=True)
 class TxValidity:
-    """Outcome of full input validation: the fee the transaction pays."""
+    """Outcome of input validation: the fee the transaction pays and the
+    scriptPubKey each input spends (in input order)."""
 
     fee: int
+    spent_scripts: tuple[Script, ...]
 
 
 def check_transaction(tx: Transaction) -> None:
@@ -209,6 +211,7 @@ def check_tx_inputs(
     script_time = 0.0
     script_start = 0.0
     value_in = 0
+    spent_scripts = []
     for index, txin in enumerate(tx.vin):
         entry = utxos.get(txin.prevout)
         if entry is None:
@@ -216,8 +219,9 @@ def check_tx_inputs(
         if entry.is_coinbase and height - entry.height < COINBASE_MATURITY:
             raise ValidationError("premature spend of coinbase output")
         value_in += entry.output.value
+        script_code = entry.output.script_pubkey
+        spent_scripts.append(script_code)
         if verify_scripts:
-            script_code = entry.output.script_pubkey
             checker = make_sig_checker(
                 tx, index, script_code, sighash_cache=sighash_cache
             )
@@ -241,7 +245,9 @@ def check_tx_inputs(
             end - structure_done - script_time,
             rule="inputs",
         )
-    return TxValidity(fee=value_in - value_out)
+    return TxValidity(
+        fee=value_in - value_out, spent_scripts=tuple(spent_scripts)
+    )
 
 
 # ----------------------------------------------------------------------

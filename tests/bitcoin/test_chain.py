@@ -1,9 +1,16 @@
 """Tests for the blockchain: acceptance, reorgs, UTXO/undo, queries."""
 
+import random
+
 import pytest
 
-from repro.bitcoin.block import Block
-from repro.bitcoin.chain import Blockchain, ChainParams, block_subsidy
+from repro.bitcoin.block import Block, build_block
+from repro.bitcoin.chain import (
+    MEDIAN_TIME_SPAN,
+    Blockchain,
+    ChainParams,
+    block_subsidy,
+)
 from repro.bitcoin.miner import Miner
 from repro.bitcoin.standard import p2pkh_script
 from repro.bitcoin.transaction import COIN, OutPoint, TxOut
@@ -199,3 +206,83 @@ class TestReorg:
         assert shared.height == 3
         assert shared.has_block(rival_blocks[-1].hash)
         assert not shared.in_active_chain(rival_blocks[-1].hash)
+
+
+def walked_median_time(chain, block_hash):
+    """The oracle: median-time-past by a fresh walk over the block and up
+    to ten ancestors."""
+    times = []
+    cursor = chain.entry(block_hash)
+    while cursor is not None and len(times) < MEDIAN_TIME_SPAN:
+        times.append(cursor.block.header.timestamp)
+        cursor = chain.entry(cursor.prev) if cursor.prev else None
+    times.sort()
+    return times[len(times) // 2]
+
+
+class TestMedianTimeMemo:
+    """Each index entry stores its median-time-past once; it must always
+    equal the 11-block walk, on the active chain and on side branches."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_memo_equals_fresh_walk_after_extends_and_reorgs(
+        self, seed, miner_key, tmp_path
+    ):
+        from repro.store import BlockStore, recover_chain
+
+        rng = random.Random(seed)
+        chain = Blockchain(ChainParams.regtest())
+        chain.attach_store(BlockStore(tmp_path, snapshot_interval=7).open())
+        reorgs = []
+        chain.add_reorg_listener(lambda gone, won: reorgs.append(len(gone)))
+        miner = Miner(chain, miner_key)
+        known = [chain.genesis.hash]
+
+        def grow(parent, nonce):
+            entry = chain.entry(parent)
+            block = miner.grind(
+                build_block(
+                    prev_hash=parent,
+                    txs=[miner.make_coinbase(entry.height + 1, 0, nonce)],
+                    # Jittered, often earlier than the parent's own stamp.
+                    timestamp=chain.median_time_past(parent)
+                    + rng.randint(1, 3_000),
+                    bits=chain.required_bits(parent),
+                )
+            )
+            chain.add_block(block)
+            known.append(block.hash)
+            for block_hash in known:
+                assert chain.median_time_past(block_hash) == (
+                    walked_median_time(chain, block_hash)
+                )
+            return block.hash
+
+        nonce = 0
+        for _ in range(30):
+            roll = rng.random()
+            nonce += 10
+            if roll < 0.6 or chain.height < 4:
+                grow(chain.tip.block.hash, nonce)
+            elif roll < 0.8:
+                grow(rng.choice(known), nonce)  # a stub side branch
+            else:
+                # A rival branch one block longer than the part it replaces.
+                depth = rng.randint(1, 3)
+                parent = chain.block_at(chain.height - depth).hash
+                for i in range(depth + 1):
+                    parent = grow(parent, nonce + i)
+        assert reorgs
+        assert chain.median_time_past() == walked_median_time(
+            chain, chain.tip.block.hash
+        )
+        # Entries rebuilt from the durable log (index-only replay below
+        # the snapshot, forward replay above it) memoize the same value.
+        chain.store.close()
+        restored = recover_chain(BlockStore(tmp_path).open())
+        assert restored.tip.block.hash == chain.tip.block.hash
+        for height in range(restored.height + 1):
+            block_hash = restored.block_at(height).hash
+            assert restored.median_time_past(block_hash) == (
+                walked_median_time(restored, block_hash)
+            ) == chain.median_time_past(block_hash)

@@ -11,6 +11,7 @@ data penalization of an adversary, and the opt-out purity differential
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bitcoin import compact as cmod
 from repro.bitcoin.chain import ChainParams
@@ -22,7 +23,9 @@ from repro.bitcoin.compact import (
     reconstruct,
     short_id_key,
     short_txid,
+    short_txids,
     siphash24,
+    siphash24_batch,
 )
 from repro.bitcoin.faults import ByzantinePeer, LinkPolicy
 from repro.bitcoin.miner import Miner
@@ -65,6 +68,77 @@ class TestSipHash:
     def test_key_length_enforced(self):
         with pytest.raises(ValueError):
             siphash24(b"short", b"data")
+        with pytest.raises(ValueError):
+            siphash24_batch(b"short", [b"\x00" * 32] * 4)
+
+
+class TestBatchedSipHash:
+    """The packed kernel must be bit-identical to the scalar function."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        size=st.sampled_from([0, 1, 2, 6, 22, 257]),
+        data=st.data(),
+    )
+    def test_batched_equals_scalar(self, key, size, data):
+        txids = data.draw(
+            st.lists(
+                st.binary(min_size=32, max_size=32),
+                min_size=size,
+                max_size=size,
+            )
+        )
+        assert siphash24_batch(key, txids) == [
+            siphash24(key, txid) for txid in txids
+        ]
+        assert short_txids(key, txids) == [
+            short_txid(key, txid) for txid in txids
+        ]
+
+    def test_lane_extremes(self):
+        """All-ones keys and messages maximize every lane-wise carry."""
+        for key in (b"\x00" * 16, b"\xff" * 16, bytes(range(16))):
+            txids = [b"\xff" * 32, b"\x00" * 32, bytes(range(32))] * 3
+            assert siphash24_batch(key, txids) == [
+                siphash24(key, txid) for txid in txids
+            ]
+
+    def test_scalar_fallback(self, monkeypatch):
+        """A single txid, or any txid not 32 bytes long, never reaches the
+        packed kernel, and still hashes exactly as the scalar function."""
+
+        def kernel(*args):
+            raise AssertionError("packed kernel used")
+
+        monkeypatch.setattr(cmod, "_siphash24_lanes", kernel)
+        key = bytes(range(16))
+        for txids in (
+            [b"\xab" * 32],
+            [b"\xab" * 32, b"\xcd" * 31],
+            [bytes(range(n)) for n in range(9)],
+        ):
+            assert siphash24_batch(key, txids) == [
+                siphash24(key, txid) for txid in txids
+            ]
+            assert short_txids(key, txids) == [
+                short_txid(key, txid) for txid in txids
+            ]
+
+    def test_mask_table_does_not_grow_with_batch_size(self):
+        def module_state():
+            """The size of every module-level int and container."""
+            return {
+                name: value.bit_length() if isinstance(value, int) else len(value)
+                for name, value in vars(cmod).items()
+                if isinstance(value, (int, dict, list, set))
+            }
+
+        before = module_state()
+        key = bytes(range(16))
+        for size in range(2, 300, 7):
+            short_txids(key, [bytes([size % 256]) * 32] * size)
+        assert module_state() == before
 
 
 def _wallet_tx(wallet, chain, value=600, fee=10_000):
@@ -172,7 +246,9 @@ class TestReconstruction:
     ):
         wallets, blocks = funded
         block = max(blocks, key=lambda b: len(b.txs))
-        monkeypatch.setattr(cmod, "short_txid", lambda key, txid: b"\x00" * 6)
+        monkeypatch.setattr(
+            cmod, "short_txids", lambda key, txids: [b"\x00" * 6] * len(txids)
+        )
         cb = CompactBlock.from_block(block)
         other = Transaction(
             vin=[TxIn(OutPoint(b"\x77" * 32, 0))],
@@ -278,7 +354,9 @@ class TestRelayMiss:
         # Degenerate short ids: b's decoy "matches" the announced tx, so
         # reconstruction completes with the wrong transaction and the
         # merkle check catches it — the innocent-collision fallback.
-        monkeypatch.setattr(cmod, "short_txid", lambda key, txid: b"\x11" * 6)
+        monkeypatch.setattr(
+            cmod, "short_txids", lambda key, txids: [b"\x11" * 6] * len(txids)
+        )
         block = _mine(a)
         a.submit_block(block)
         sim.run_until(600)

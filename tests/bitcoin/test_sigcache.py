@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.bitcoin import sigcache
+from repro.bitcoin.chain import Blockchain
 from repro.bitcoin.regtest import RegtestNetwork
 from repro.bitcoin.sigcache import SignatureCache
 from repro.bitcoin.standard import p2pkh_script
@@ -259,6 +260,15 @@ def _run_scenario(verifier=None, cache=None, before_generate=None):
         before_generate(net)
     blocks = net.generate(1, alice.key_hash)
     verdicts.append(("tip", net.chain.tip.block.hash.hex(), len(blocks[0].txs)))
+    # net.chain admitted these transactions, so its connect skipped their
+    # scripts.  A chain that never admitted them connects the same blocks
+    # and runs every script through the verifier under test.
+    replica = Blockchain(
+        net.chain.params, script_verifier=net.chain.script_verifier
+    )
+    for block in net.chain.export_active():
+        replica.add_block(block)
+    verdicts.append(("replica-tip", replica.tip.block.hash.hex()))
     if verifier is not None:
         verifier.close()
     return verdicts
@@ -278,8 +288,10 @@ def test_worker_death_mid_block_falls_back_serially():
     """Killing a pool worker must not change the block verdict.
 
     The executor breaks between mempool acceptance and block connect; the
-    verifier discards the dead pool, re-verifies every group in-process,
-    and the observable verdicts stay byte-identical to the serial run.
+    verifier discards the dead pool when the replica chain (which never
+    admitted the block's transactions) connects it, re-verifies every
+    group in-process, and the observable verdicts stay byte-identical to
+    the serial run.
     """
     import concurrent.futures.process
     import os
